@@ -1,22 +1,33 @@
-"""Compiled operator kernels — analytic models vs LUT fast path.
+"""Compiled operator kernels — analytic models vs the kernel tiers.
 
-Two measurements, both asserting bit-identity before speed:
+Three measurements, all asserting bit-identity before speed:
 
-1. **Per-operator kernels** — every compilable unit of the paper's catalog
-   (the 8-bit adders and multipliers of Tables I & II) applied to large
-   in-range operand arrays: the analytic multi-pass model against the
-   compiled single-gather path.  The outputs must match bit for bit.
-2. **End-to-end evaluation** — the ``matmul_50x50`` configuration evaluated
+1. **Per-operator kernels** — every approximate unit of the paper's catalog
+   applied to large in-range operand arrays: the analytic multi-pass model
+   against the kernel ``OperatorCatalog.compiled_instance`` serves it from.
+   The 8-bit units land on the LUT tier (operands span the full native
+   two's-complement range); the 16-bit adders and 32-bit multipliers land
+   on the wide shift-free tier (operands span its shift-free domain,
+   ``|x| < 2**budget``).  Every catalog unit's row names its ``tier``
+   (``lut``/``wide``/``exact``); exact units have no kernel to time.
+   The outputs must match bit for bit.
+2. **End-to-end matmul** — the ``matmul_50x50`` configuration evaluated
    across a spread of design points with ``Evaluator(compiled=False)`` (the
    historical path) and ``Evaluator(compiled=True)`` (the default): per
    evaluation wall-clock, overall and on log/DRUM-heavy points.  Records,
    profiles and store fingerprints must be identical — the compiled path
    may only change wall-clock, never an exploration trace.
+3. **End-to-end FIR** — every design point of ``fir_200`` on both paths,
+   bit-identity asserted, wall-clock reported (no gate).
 
-``--smoke`` shrinks the problem sizes and drops the wall-clock assertions
-so CI verifies the compiled path is active and bit-identical in seconds.
-Full-scale runs write a machine-readable summary to
-``BENCH_operator_kernels.json`` at the repository root (also attached to
+Timed evaluators run with equivalence sharing off: with it on, every
+timed pass after the first would replay cached behaviour classes instead
+of running the kernels.
+
+``--smoke`` shrinks the problem sizes (including a small FIR) and drops the
+wall-clock assertions so CI verifies the kernels are active and
+bit-identical in seconds.  Full-scale runs write a machine-readable summary
+to ``BENCH_operator_kernels.json`` at the repository root (also attached to
 ``benchmark.extra_info``), so the perf trajectory of the operator layer is
 tracked from this change on; smoke runs write to a temp file instead so
 they never clobber the checked-in record.
@@ -35,10 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.benchmarks import MatMulBenchmark
+from repro.benchmarks import FirBenchmark, MatMulBenchmark
 from repro.dse.design_space import DesignPoint
 from repro.dse.evaluator import Evaluator
-from repro.operators import compile_operator, default_catalog, is_compilable
+from repro.operators import default_catalog, kernel_tier
 from repro.runtime import EvaluationStore
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_operator_kernels.json"
@@ -59,26 +70,33 @@ def _time_callable(function, repeats):
 
 
 def _operator_kernel_rows(array_size, repeats):
-    """Time analytic vs compiled apply for every compilable catalog unit."""
+    """Time analytic vs kernel apply for every catalog unit with a kernel."""
     catalog = default_catalog()
     rng = np.random.default_rng(2023)
     rows = []
     for entry in list(catalog.adders) + list(catalog.multipliers):
         analytic = catalog.instance(entry.name)
-        if not is_compilable(analytic):
+        tier = kernel_tier(analytic)
+        row = {"name": entry.name, "kind": entry.kind.value, "width": entry.width,
+               "tier": tier}
+        rows.append(row)
+        if tier == "exact":
             continue
-        compiled = compile_operator(analytic)
-        bound = 1 << (entry.width - 1)
-        a = rng.integers(-bound, bound, size=array_size)
-        b = rng.integers(-bound, bound, size=array_size)
+        kernel = catalog.compiled_instance(entry.name)
+        assert kernel_tier(kernel) == tier, entry.name
+        if tier == "lut":
+            # The full native two's-complement range.
+            low, high = -(1 << (entry.width - 1)), 1 << (entry.width - 1)
+        else:
+            # The shift-free domain the wide kernel serves: |x| <= its radius.
+            low, high = -kernel._radius, kernel._radius + 1
+        a = rng.integers(low, high, size=array_size)
+        b = rng.integers(low, high, size=array_size)
 
-        np.testing.assert_array_equal(analytic.apply(a, b), compiled.apply(a, b))
+        np.testing.assert_array_equal(analytic.apply(a, b), kernel.apply(a, b))
         analytic_s = _time_callable(lambda: analytic.apply(a, b), repeats)
-        compiled_s = _time_callable(lambda: compiled.apply(a, b), repeats)
-        rows.append({
-            "name": entry.name,
-            "kind": entry.kind.value,
-            "width": entry.width,
+        compiled_s = _time_callable(lambda: kernel.apply(a, b), repeats)
+        row.update({
             "analytic_us": round(analytic_s * 1e6, 2),
             "compiled_us": round(compiled_s * 1e6, 2),
             "speedup": round(analytic_s / compiled_s, 2),
@@ -115,6 +133,27 @@ def _heavy_points(evaluator):
     return points
 
 
+def _assert_identical_evaluations(analytic, compiled, points):
+    for point in points:
+        expected = analytic.evaluate(point)
+        actual = compiled.evaluate(point)
+        assert expected.deltas == actual.deltas, point
+        assert expected.approx_cost == actual.approx_cost, point
+        np.testing.assert_array_equal(expected.outputs, actual.outputs)
+
+
+def _evaluator_pair(kernel):
+    """(analytic, compiled) evaluators with equivalence sharing off, so every
+    timed evaluation runs the kernel instead of replaying a behaviour class."""
+    analytic = Evaluator(kernel, compiled=False, share_equivalent=False)
+    compiled = Evaluator(kernel, compiled=True, share_equivalent=False)
+    assert compiled.compiled and not analytic.compiled
+    # Identical store fingerprints: compiled evaluations are addressed by
+    # the same keys, so exploration traces and store contents match.
+    assert analytic.store_context == compiled.store_context
+    return analytic, compiled
+
+
 def _time_evaluations(evaluator, points, repeats):
     def run():
         evaluator.use_store(EvaluationStore())
@@ -130,33 +169,28 @@ def test_operator_kernel_speedup(benchmark, smoke):
     if smoke:
         kernel = MatMulBenchmark(rows=8, inner=8, cols=8)
         label = "matmul_8x8"
+        fir = FirBenchmark(num_samples=24)
     else:
         kernel = MatMulBenchmark(rows=50, inner=50, cols=50)
         label = "matmul_50x50"
+        fir = FirBenchmark(num_samples=200)
 
     def run_all():
         operator_rows = _operator_kernel_rows(array_size, kernel_repeats)
 
-        analytic = Evaluator(kernel, compiled=False)
-        compiled = Evaluator(kernel, compiled=True)
-        assert compiled.compiled and not analytic.compiled
-        # Identical store fingerprints: compiled evaluations are addressed by
-        # the same keys, so exploration traces and store contents match.
-        assert analytic.store_context == compiled.store_context
-
+        analytic, compiled = _evaluator_pair(kernel)
         points = _evaluation_points(analytic.design_space)
-        for point in points:
-            expected = analytic.evaluate(point)
-            actual = compiled.evaluate(point)
-            assert expected.deltas == actual.deltas, point
-            assert expected.approx_cost == actual.approx_cost, point
-            np.testing.assert_array_equal(expected.outputs, actual.outputs)
+        _assert_identical_evaluations(analytic, compiled, points)
 
         heavy = _heavy_points(analytic)
         analytic_s = _time_evaluations(analytic, points, eval_repeats)
         compiled_s = _time_evaluations(compiled, points, eval_repeats)
         analytic_heavy_s = _time_evaluations(analytic, heavy, eval_repeats + 1)
         compiled_heavy_s = _time_evaluations(compiled, heavy, eval_repeats + 1)
+
+        fir_analytic, fir_compiled = _evaluator_pair(fir)
+        fir_points = list(fir_analytic.design_space.enumerate())
+        _assert_identical_evaluations(fir_analytic, fir_compiled, fir_points)
         return {
             "operators": operator_rows,
             "points": len(points),
@@ -165,6 +199,9 @@ def test_operator_kernel_speedup(benchmark, smoke):
             "compiled_s": compiled_s,
             "analytic_heavy_s": analytic_heavy_s,
             "compiled_heavy_s": compiled_heavy_s,
+            "fir_points": len(fir_points),
+            "fir_analytic_s": _time_evaluations(fir_analytic, fir_points, eval_repeats),
+            "fir_compiled_s": _time_evaluations(fir_compiled, fir_points, eval_repeats),
         }
 
     measured = benchmark.pedantic(run_all, iterations=1, rounds=1)
@@ -173,6 +210,8 @@ def test_operator_kernel_speedup(benchmark, smoke):
     speedup = measured["analytic_s"] / measured["compiled_s"]
     heavy_speedup = measured["analytic_heavy_s"] / measured["compiled_heavy_s"]
     heavy_kernels = [row for row in operator_rows if row["name"] in _HEAVY_MULTIPLIERS]
+    fir_points = measured["fir_points"]
+    fir_speedup = measured["fir_analytic_s"] / measured["fir_compiled_s"]
 
     report = {
         "benchmark": "bench_operator_kernels",
@@ -195,6 +234,13 @@ def test_operator_kernel_speedup(benchmark, smoke):
                 "speedup": round(heavy_speedup, 2),
             },
         },
+        "fir": {
+            "benchmark": fir.name,
+            "points": fir_points,
+            "analytic_ms_per_eval": round(measured["fir_analytic_s"] / fir_points * 1e3, 3),
+            "compiled_ms_per_eval": round(measured["fir_compiled_s"] / fir_points * 1e3, 3),
+            "speedup": round(fir_speedup, 2),
+        },
         "bit_identical": True,
         "store_fingerprints_match": True,
     }
@@ -209,19 +255,28 @@ def test_operator_kernel_speedup(benchmark, smoke):
         "smoke": smoke,
         "end_to_end_speedup": round(speedup, 2),
         "heavy_speedup": round(heavy_speedup, 2),
-        "operator_speedups": {row["name"]: row["speedup"] for row in operator_rows},
+        "fir_speedup": round(fir_speedup, 2),
+        "operator_speedups": {row["name"]: row["speedup"] for row in operator_rows
+                              if "speedup" in row},
         "json_path": str(json_path),
     })
 
     print(f"\nOperator kernels ({array_size} operands, best of {kernel_repeats})")
     for row in operator_rows:
-        print(f"  {row['name']:<10} {row['analytic_us']:9.1f} us -> "
+        if "speedup" not in row:
+            print(f"  {row['name']:<13} {row['tier']:<5}")
+            continue
+        print(f"  {row['name']:<13} {row['tier']:<5} {row['analytic_us']:9.1f} us -> "
               f"{row['compiled_us']:8.1f} us   ({row['speedup']:.1f}x)")
     print(f"End-to-end {label} ({num_points} design points)")
     print(f"  analytic  {measured['analytic_s'] / num_points * 1e3:8.2f} ms/eval")
     print(f"  compiled  {measured['compiled_s'] / num_points * 1e3:8.2f} ms/eval   "
           f"({speedup:.2f}x)")
     print(f"  log/DRUM-heavy points: {heavy_speedup:.2f}x")
+    print(f"End-to-end {fir.name} ({fir_points} design points)")
+    print(f"  analytic  {measured['fir_analytic_s'] / fir_points * 1e3:8.3f} ms/eval")
+    print(f"  compiled  {measured['fir_compiled_s'] / fir_points * 1e3:8.3f} ms/eval   "
+          f"({fir_speedup:.2f}x)")
 
     if not smoke:
         assert speedup >= 5.0, f"matmul_50x50 per-evaluation speedup {speedup:.2f}x < 5x"

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.benchmarks.base import Benchmark
 from repro.benchmarks.workloads import lowpass_coefficients, white_noise
@@ -70,11 +71,13 @@ class FirBenchmark(Benchmark):
 
         # y[n] = sum_t h[t] * x[n - t]; the signal is zero-padded at the start
         # so every output sample performs the full num_taps MAC operations.
+        # Row t of the window matrix is the signal delayed by t samples, so
+        # one multiply yields every tap's products; the accumulation stays a
+        # sequential chain of adds, one per tap, as in the scalar MAC loop.
         padded = np.concatenate([np.zeros(self.num_taps - 1, dtype=np.int64), signal])
+        windows = sliding_window_view(padded, self.num_samples)[::-1]
+        products = context.mul(windows, taps[:, None], variables=("x", "h"))
         accumulator = np.zeros(self.num_samples, dtype=np.int64)
-        for tap_index in range(self.num_taps):
-            start = self.num_taps - 1 - tap_index
-            window = padded[start:start + self.num_samples]
-            products = context.mul(window, taps[tap_index], variables=("x", "h"))
-            accumulator = context.add(accumulator, products, variables=("acc",))
+        for tap_products in products:
+            accumulator = context.add(accumulator, tap_products, variables=("acc",))
         return accumulator

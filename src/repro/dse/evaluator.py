@@ -83,8 +83,9 @@ class Evaluator:
         ``True`` for direct users; campaigns default it off to keep records
         light (see :class:`~repro.dse.campaign.Campaign`).
     compiled:
-        Run design points through LUT-compiled operator kernels on the
-        trusted context fast path (see :mod:`repro.operators.compiled`).
+        Run design points through compiled operator kernels (LUT or wide
+        shift-free tier) on the trusted context fast path (see
+        :mod:`repro.operators.compiled`).
         The fixed workload is validated once at construction, so the
         per-call operand checks, sign decompositions and multi-pass
         analytic models disappear from the per-design-point loop.  Results
@@ -267,9 +268,9 @@ class Evaluator:
                     trusted: Optional[bool] = None) -> ApproxContext:
         """Build the approximation context corresponding to a design point.
 
-        With ``compiled`` enabled (the default) the context carries
-        LUT-compiled approximate units.  By default it still validates
-        operands on every call, so it is safe for arbitrary workloads;
+        With ``compiled`` enabled (the default) the context carries the
+        compiled kernels of its approximate units.  By default it still
+        validates operands on every call, so it is safe for arbitrary workloads;
         pass ``trusted=True`` to skip validation for operands known to be
         integer-valued (what :meth:`evaluate` does for the evaluator's own
         validated workload).

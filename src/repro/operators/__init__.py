@@ -39,8 +39,12 @@ from repro.operators.catalog import (
 from repro.operators.compiled import (
     CompiledAdder,
     CompiledMultiplier,
+    WideAdder,
+    WideMultiplier,
     compile_operator,
     is_compilable,
+    kernel_tier,
+    select_kernel,
 )
 from repro.operators.characterization import (
     ErrorReport,
@@ -75,8 +79,12 @@ __all__ = [
     "DrumMultiplier",
     "CompiledAdder",
     "CompiledMultiplier",
+    "WideAdder",
+    "WideMultiplier",
     "compile_operator",
     "is_compilable",
+    "select_kernel",
+    "kernel_tier",
     "as_int_array",
     "ErrorReport",
     "characterize",

@@ -259,19 +259,19 @@ class OperatorCatalog:
         return self._instances[name]
 
     def compiled_instance(self, name: str) -> Operator:
-        """Like :meth:`instance`, with LUT compilation applied where it helps.
+        """Like :meth:`instance`, served from the fastest bit-identical kernel tier.
 
-        Narrow approximate units come back as bit-identical
-        :mod:`repro.operators.compiled` lookup-table kernels; exact units
-        and units too wide to tabulate come back as the analytic instance
-        itself.  Compiled instances are cached per catalog and their tables
-        are shared process-wide, so repeated evaluators pay the table build
-        once.
+        Narrow approximate units come back as :mod:`repro.operators.compiled`
+        lookup-table kernels, approximate units too wide to tabulate as
+        shift-free wide kernels, and exact units as the analytic instance
+        itself (see :func:`~repro.operators.compiled.select_kernel`).
+        Kernels are cached per catalog and LUT tables are shared
+        process-wide, so repeated evaluators pay the table build once.
         """
         if name not in self._compiled_instances:
-            from repro.operators.compiled import compile_operator
+            from repro.operators.compiled import select_kernel
 
-            self._compiled_instances[name] = compile_operator(self.instance(name))
+            self._compiled_instances[name] = select_kernel(self.instance(name))
         return self._compiled_instances[name]
 
     # ----------------------------------------------------------- restriction

@@ -1,32 +1,39 @@
-"""LUT-compiled operator kernels: precomputed unit behaviour, one-gather apply.
+"""Compiled operator kernels: bit-identical fast paths for the catalog units.
 
 The exploration loop is dominated by evaluating design points, and every
 evaluation runs the benchmark kernel through behavioural operator models
 whose analytic implementations (Mitchell log, DRUM truncation, segmented
-carry chains, ...) take a dozen NumPy passes per call.  A unit of native
-width ``w`` is a pure function of at most ``2**(w+1)`` distinct operand
-patterns per side, so for narrow units the *entire* behaviour fits in a
-dense lookup table computed once per process.  Compilation precomputes two
-tables per unit:
+carry chains, ...) take a dozen NumPy passes per call, plus two float
+dynamic-range scans per operand.  :func:`select_kernel` serves each unit
+from the first tier that applies:
 
-``native``
-    ``_compute_native`` over the full unsigned native domain — the raw
-    bit-level model becomes a single fancy-index.
-``signed``
-    The whole signed, dynamic-range-scaled ``_apply_signed`` for operands
-    already inside the native range (the shift-0 case).  When every operand
-    fits, one gather replaces the complete sign-decomposition pipeline;
-    when operands are wider, the scaled path computes the per-element shift
-    (through a shared bit-length LUT where possible) and still finishes
-    with a single gather.
+LUT (:class:`CompiledAdder`, :class:`CompiledMultiplier`)
+    A unit of native width ``w`` is a pure function of at most
+    ``2**(w+1)`` distinct operand patterns per side, so for narrow units
+    the *entire* behaviour fits in dense lookup tables computed once per
+    process.  ``native`` holds ``_compute_native`` over the full unsigned
+    native domain; ``signed`` holds the whole signed, dynamic-range-scaled
+    ``_apply_signed`` for operands already inside the native range (the
+    shift-0 case).  When every operand fits, one gather replaces the
+    complete sign-decomposition pipeline; when operands are wider, the
+    scaled path computes the per-element shift (through a shared
+    bit-length LUT where possible) and still finishes with a single gather.
+wide (:class:`WideAdder`, :class:`WideMultiplier`)
+    Units too wide to tabulate (the 16-bit adders and 32-bit multipliers
+    FIR runs on).  When every operand is within the unit's magnitude budget
+    the dynamic-range shift is provably 0 everywhere, so the per-element
+    scaling (and, for multipliers, the float overflow scan) is skipped and
+    the unit's own ``_compute_native`` runs once; any other call is handed
+    to the unit's analytic ``_apply_signed``.
+analytic
+    Everything else — exact units (already a single vectorised operation;
+    their ``_apply_signed`` intentionally skips dynamic-range scaling) and
+    units that override ``_apply_signed`` — is served by the unit itself.
 
-Results are bit-identical to the analytic models by construction: both
-tables are *generated by* the analytic code, and the scaled path reuses the
-exact shift arithmetic of :mod:`repro.operators.base`.  Exact units are
-never compiled (they are already a single vectorised operation and their
-``_apply_signed`` intentionally skips dynamic-range scaling), and units
-wider than :data:`MAX_COMPILED_WIDTH` (or whose tables would exceed
-:data:`MAX_TABLE_ENTRIES`) keep the analytic path.
+Results are bit-identical to the analytic models by construction: the
+tables are *generated by* the analytic code, the scaled LUT path reuses the
+exact shift arithmetic of :mod:`repro.operators.base`, and the wide tier
+runs the base class's shift-0 arithmetic on the unit's own native model.
 
 Tables are cached per process keyed by the operator's family and
 parameters, so every evaluator, sweep chunk and campaign job in a process
@@ -53,8 +60,12 @@ __all__ = [
     "MAX_TABLE_ENTRIES",
     "CompiledAdder",
     "CompiledMultiplier",
+    "WideAdder",
+    "WideMultiplier",
     "compile_operator",
     "is_compilable",
+    "select_kernel",
+    "kernel_tier",
     "clear_compiled_caches",
 ]
 
@@ -235,6 +246,73 @@ class CompiledMultiplier(ApproximateMultiplier):
         return f"CompiledMultiplier({self.base!r})"
 
 
+def _shift_free(a: np.ndarray, b: np.ndarray, radius: int) -> bool:
+    """Whether both operands are non-empty and every element lies in
+    ``[-radius, radius]``."""
+    return (a.size > 0 and b.size > 0
+            and -radius <= min(int(a.min()), int(b.min()))
+            and max(int(a.max()), int(b.max())) <= radius)
+
+
+class WideAdder(ApproximateAdder):
+    """Shift-free view of an adder too wide to tabulate: bit-identical.
+
+    The base class scales by ``max(bit_length(|x|) - (width-1), 0)``, which
+    is 0 for every element exactly when ``|x| < 2**(width-1)`` — so
+    ``-2**(width-1)`` still takes the analytic (scaled) path.
+    """
+
+    def __init__(self, base: Operator) -> None:
+        super().__init__(base.width, name=base.name)
+        self.base = base
+        self._radius = (1 << (base.width - 1)) - 1
+        self._mask = (1 << (base.width + 1)) - 1
+        self._sign_bit = 1 << base.width
+
+    def _compute_native(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.base._compute_native(a, b)
+
+    def _apply_signed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if not _shift_free(a, b, self._radius):
+            return self.base._apply_signed(a, b)
+        mask = self._mask
+        usum = self.base._compute_native(a & mask, b & mask).astype(np.int64) & mask
+        # Sign-extend the (width+1)-bit two's-complement sum.
+        return (usum ^ self._sign_bit) - self._sign_bit
+
+    def __repr__(self) -> str:
+        return f"WideAdder({self.base!r})"
+
+
+class WideMultiplier(ApproximateMultiplier):
+    """Shift-free view of a multiplier too wide to tabulate: bit-identical.
+
+    With both magnitudes below ``2**budget`` (``budget = min(width, 30)``)
+    every shift is 0 and the product stays below ``2**60``, so neither the
+    scaling nor the base class's overflow scan can change the result.
+    """
+
+    def __init__(self, base: Operator) -> None:
+        super().__init__(base.width, name=base.name)
+        self.base = base
+        self._radius = (1 << min(base.width, (_MAX_SAFE_BITS // 2) - 1)) - 1
+
+    def _compute_native(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.base._compute_native(a, b)
+
+    def _apply_signed(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if not _shift_free(a, b, self._radius):
+            return self.base._apply_signed(a, b)
+        product = self.base._compute_native(np.abs(a), np.abs(b)).astype(np.int64)
+        return np.sign(a) * np.sign(b) * product
+
+    def __repr__(self) -> str:
+        return f"WideMultiplier({self.base!r})"
+
+
+_KERNEL_TYPES = (CompiledAdder, CompiledMultiplier, WideAdder, WideMultiplier)
+
+
 def _table_entries(operator: Operator) -> int:
     """Entries of the largest table compilation would build for ``operator``."""
     if operator.kind is OperatorKind.ADDER:
@@ -252,7 +330,7 @@ def is_compilable(operator: Operator, max_width: int = MAX_COMPILED_WIDTH,
     Exact units are never compiled: they are already a single vectorised
     operation and bypass dynamic-range scaling entirely.
     """
-    if isinstance(operator, (CompiledAdder, CompiledMultiplier)):
+    if isinstance(operator, _KERNEL_TYPES):
         return False
     if operator.is_exact:
         return False
@@ -281,6 +359,39 @@ def compile_operator(operator: Operator, max_width: int = MAX_COMPILED_WIDTH,
     if operator.kind is OperatorKind.ADDER:
         return CompiledAdder(operator, *tables)
     return CompiledMultiplier(operator, *tables)
+
+
+def _is_wide(operator: Operator) -> bool:
+    """Whether the wide tier serves ``operator``: an approximate unit the LUT
+    tier rejects whose signed apply is the base class's scaling pipeline."""
+    if isinstance(operator, _KERNEL_TYPES) or operator.is_exact or is_compilable(operator):
+        return False
+    base_apply = (ApproximateAdder._apply_signed if operator.kind is OperatorKind.ADDER
+                  else ApproximateMultiplier._apply_signed)
+    return type(operator)._apply_signed is base_apply
+
+
+def select_kernel(operator: Operator) -> Operator:
+    """The fastest bit-identical kernel for ``operator``: its LUT view, else
+    its wide shift-free view, else the operator itself (exact units, units
+    with their own signed apply, already-selected kernels)."""
+    compiled = compile_operator(operator)
+    if compiled is not operator or not _is_wide(operator):
+        return compiled
+    if operator.kind is OperatorKind.ADDER:
+        return WideAdder(operator)
+    return WideMultiplier(operator)
+
+
+def kernel_tier(operator: Operator) -> str:
+    """Which tier :func:`select_kernel` serves ``operator`` from (``"lut"``,
+    ``"wide"``, ``"exact"`` or ``"analytic"``); also names a selected kernel's
+    own tier."""
+    if isinstance(operator, (CompiledAdder, CompiledMultiplier)) or is_compilable(operator):
+        return "lut"
+    if isinstance(operator, (WideAdder, WideMultiplier)) or _is_wide(operator):
+        return "wide"
+    return "exact" if operator.is_exact else "analytic"
 
 
 def clear_compiled_caches() -> None:
